@@ -7,15 +7,19 @@ output over the table ::
     PYTHONPATH=src python benchmarks/perf/table.py
 
 The derived ``vs baseline`` column is only present for metrics the seed
-commit had a measurement for (the batch benches did not exist then;
-their reference point is ``batch_sweep_serial`` in the same file).
+commit had a measurement for (``fig3_static16_staged`` did not exist
+then; its reference point is ``fig3_static16`` in the same file).
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import sys
 
-from .harness import bench_path
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent.parent))
+
+from benchmarks.perf.harness import bench_path  # noqa: E402
 
 SUITE_NAME = "sim_core"
 

@@ -416,7 +416,6 @@ def sweep(
     backend: Union[str, object] = "auto",
     lanes: Optional[str] = None,
     jobs: Optional[int] = None,
-    batch_size: Optional[int] = None,
     cache: bool = True,
     cache_dir=None,
     journal=None,
@@ -438,15 +437,12 @@ def sweep(
 
     ``backend`` picks the execution mechanism — ``"auto"`` (serial for
     one job, a local process pool otherwise, distributed when ``lanes``
-    is given, batch when ``batch_size`` is given), ``"serial"``,
-    ``"process-pool"``, ``"distributed"`` (a TCP coordinator feeding
-    worker processes; ``lanes`` lists them: ``"local,4"`` spawns four
-    local workers, ``"host:port,8"`` opens eight connections to a
-    standing worker agent on another machine, ``;`` separates lanes), or
-    ``"batch"`` (``batch_size`` independent simulations advance in
-    lockstep per process through the fused cycle loop — see
-    ``docs/BATCHING.md``; composes with ``jobs`` for pool fan-out).
-    Every backend returns bit-identical records; see ``docs/SWEEPS.md``.
+    is given), ``"serial"``, ``"process-pool"``, or ``"distributed"`` (a
+    TCP coordinator feeding worker processes; ``lanes`` lists them:
+    ``"local,4"`` spawns four local workers, ``"host:port,8"`` opens
+    eight connections to a standing worker agent on another machine,
+    ``;`` separates lanes).  Every backend returns bit-identical records;
+    see ``docs/SWEEPS.md``.
 
     ``trace`` names a directory to receive the sweep's observability
     artifacts: ``sweep_metrics.json`` (the extended metrics snapshot with
@@ -479,7 +475,6 @@ def sweep(
             backend=backend,
             lanes=lanes,
             jobs=jobs,
-            batch_size=batch_size,
             cache_dir=cache_dir,
             use_cache=cache,
             timeout=timeout,

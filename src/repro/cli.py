@@ -75,11 +75,9 @@ def _parse_benchmarks(spec: Optional[str]) -> Sequence[str]:
 _EPILOG = """\
 sweep execution flags (every exhibit command):
   --jobs N --no-cache --timeout SECONDS      parallelism and caching
-  --backend serial|process-pool|distributed|batch  how specs execute (auto)
+  --backend serial|process-pool|distributed  how specs execute (auto)
   --workers LANES / --lanes LANES            distributed lanes, e.g. "local,4"
                                              or "hostA:9000,8;hostB:9000,8"
-  --batch-size N                             lockstep simulations per process
-                                             (implies --backend batch)
   --metrics-json PATH                        sweep metrics snapshot as JSON
   --journal PATH / --resume                  checkpoint + restart a killed sweep
   --trace DIR                                per-run timings + Perfetto trace
@@ -143,17 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_JOBS or cpu_count-1)")
         ex.add_argument("--backend", default="auto",
                         choices=["auto", "serial", "process-pool",
-                                 "distributed", "batch"],
+                                 "distributed"],
                         help="execution backend (default: auto — "
                              "REPRO_SWEEP_BACKEND, else distributed when "
-                             "lanes are given, else batch when a batch "
-                             "size is given, else serial/process-pool "
+                             "lanes are given, else serial/process-pool "
                              "by job count)")
-        ex.add_argument("--batch-size", type=int, default=None,
-                        metavar="N", dest="batch_size",
-                        help="lockstep simulations per process for the "
-                             "batch backend (implies --backend batch; "
-                             "composes with --jobs)")
         ex.add_argument("--workers", "--lanes", dest="lanes", default=None,
                         metavar="LANES",
                         help="worker lanes for the distributed backend: "
@@ -265,7 +257,6 @@ def _cmd_exhibit(name: str, args: argparse.Namespace) -> int:
             backend=args.backend,
             jobs=args.jobs,
             lanes=args.lanes,
-            batch_size=args.batch_size,
             use_cache=not args.no_cache,
             timeout=args.timeout,
             journal=_journal_path(name, args),

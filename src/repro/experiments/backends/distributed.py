@@ -151,6 +151,11 @@ class DistributedBackend(ExecutionBackend):
         self._jobs_q: Optional[asyncio.Queue] = None
         self._completions: thread_queue.Queue = thread_queue.Queue()
         self._procs: List[subprocess.Popen] = []
+        #: dial-out peer tasks (loop thread only).  The loop holds tasks
+        #: weakly and a client stream's protocol holds its reader weakly,
+        #: so without this a pending dial is a garbage cycle the GC may
+        #: collect mid-job, dropping the connection
+        self._dials: set = set()
         self._peers = 0  # live peer coroutines (loop thread only)
         self._connected_total = 0
         self._respawns = 0
@@ -294,7 +299,9 @@ class DistributedBackend(ExecutionBackend):
                     await self._spawn_local(lane)
             else:
                 for slot in range(lane.slots):
-                    asyncio.ensure_future(self._dial(lane, slot))
+                    task = asyncio.ensure_future(self._dial(lane, slot))
+                    self._dials.add(task)
+                    task.add_done_callback(self._dials.discard)
 
     def _popen_local(self, lane: WorkerLane) -> subprocess.Popen:
         """Fork+exec one worker process (runs on an executor thread)."""

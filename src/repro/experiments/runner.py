@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..config import ProcessorConfig, env_float
+from ..pipeline.fused import FusedCore
 from ..pipeline.processor import ClusteredProcessor
 from ..stats import SimStats
 from ..workloads.generator import Profile, generate_trace
@@ -95,8 +96,7 @@ def run_trace(
     warmup = min(warmup, max(0, len(trace) - 1000))
     if max_instructions is not None:
         warmup = min(warmup, max_instructions)
-    while not processor.finished and processor.stats.committed < warmup:
-        processor.step()
+    FusedCore(processor).advance(warmup)  # guardless, unlike run()
     cycles0 = processor.cycle
     committed0 = processor.stats.committed
     mispredicts0 = processor.stats.mispredicts

@@ -60,8 +60,7 @@ import signal
 import tempfile
 import threading
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
@@ -272,7 +271,7 @@ CACHE_KEY_EXEMPT: Dict[str, Tuple[str, ...]] = {
     # bit-identical records (the conformance suite proves it), so none of
     # the runner knobs may ever influence a cached result
     "SweepConfig": (
-        "backend", "jobs", "lanes", "batch_size", "cache_dir", "use_cache",
+        "backend", "jobs", "lanes", "cache_dir", "use_cache",
         "timeout", "retries", "retry_backoff", "journal", "resume",
         "poison_threshold", "trace_dir",
     ),
@@ -728,20 +727,14 @@ class SweepConfig:
 
     This replaced the runner's grown ``__init__`` kwarg pile; build one
     and pass it as the runner's single positional argument (the facade
-    :func:`repro.api.sweep` and the CLI both do).  The old keyword
-    spellings still construct one — behind a ``DeprecationWarning`` —
-    for one more release.
+    :func:`repro.api.sweep` and the CLI both do).
 
     ``backend`` selects the execution mechanism:
 
     * ``"auto"`` (default) — ``REPRO_SWEEP_BACKEND`` if set; else
-      ``"distributed"`` when ``lanes`` is given; else ``"batch"`` when
-      ``batch_size`` is given; else ``"serial"`` for ``jobs <= 1`` and
-      ``"process-pool"`` otherwise.
-    * ``"serial"`` / ``"process-pool"`` / ``"distributed"`` /
-      ``"batch"`` — explicit.  ``"batch"`` runs ``batch_size``
-      simulations per process in lockstep (``docs/BATCHING.md``) and
-      composes with ``jobs > 1`` as a pool whose tasks are full batches.
+      ``"distributed"`` when ``lanes`` is given; else ``"serial"`` for
+      ``jobs <= 1`` and ``"process-pool"`` otherwise.
+    * ``"serial"`` / ``"process-pool"`` / ``"distributed"`` — explicit.
     * an :class:`~repro.experiments.backends.ExecutionBackend` instance —
       escape hatch for tests and custom executors (single-use).
 
@@ -754,7 +747,6 @@ class SweepConfig:
     backend: Union[str, object] = "auto"
     jobs: Optional[int] = None
     lanes: Optional[str] = None
-    batch_size: Optional[int] = None
     cache_dir: Optional[os.PathLike] = None
     use_cache: bool = True
     timeout: Optional[float] = None
@@ -785,10 +777,6 @@ class SweepConfig:
             )
         if self.jobs is not None and int(self.jobs) < 0:
             raise ConfigError(f"jobs must be >= 0, got {self.jobs!r}")
-        if self.batch_size is not None and int(self.batch_size) < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size!r}"
-            )
         if self.timeout is not None and not float(self.timeout) > 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout!r}")
         if int(self.retries) < 0:
@@ -820,19 +808,7 @@ class SweepConfig:
             return env
         if self.resolved_lanes() is not None:
             return "distributed"
-        if self.batch_size is not None:
-            return "batch"
         return "serial" if self.resolved_jobs() <= 1 else "process-pool"
-
-
-#: pre-SweepConfig keyword spellings the deprecation shim still maps
-_LEGACY_RUNNER_KWARGS = frozenset(
-    {
-        "jobs", "cache_dir", "use_cache", "timeout", "retries",
-        "retry_backoff", "journal", "resume", "poison_threshold",
-        "trace_dir",
-    }
-)
 
 
 class SweepRunner:
@@ -852,9 +828,9 @@ class SweepRunner:
 
     ``progress`` (a callable receiving a dict per completed run) stays a
     direct keyword — it is not part of the sweep's declarative identity.
-    The pre-``SweepConfig`` keyword pile (``jobs=``, ``use_cache=``,
-    ``timeout=``, ...) still works for one release behind a
-    ``DeprecationWarning``.
+    The pre-``SweepConfig`` spellings (a positional ``jobs`` count, or
+    ``jobs=``/``use_cache=``/``timeout=``... keywords) raise
+    :class:`TypeError`.
 
     While ``run()`` executes on the main thread, SIGINT/SIGTERM request a
     *drain*: no new work starts, in-flight runs finish and are journaled,
@@ -867,38 +843,15 @@ class SweepRunner:
         config: Optional[SweepConfig] = None,
         *,
         progress: Optional[Callable[[Dict], None]] = None,
-        **legacy,
+        **unexpected,
     ) -> None:
         if config is not None and not isinstance(config, SweepConfig):
-            # positional jobs from the pre-SweepConfig signature
-            legacy.setdefault("jobs", config)
-            config = None
-        if legacy:
-            unknown = set(legacy) - _LEGACY_RUNNER_KWARGS
-            if unknown:
-                raise TypeError(
-                    f"SweepRunner got unexpected arguments {sorted(unknown)}; "
-                    "pass a SweepConfig"
-                )
-            warnings.warn(
-                "SweepRunner keyword arguments are deprecated; pass a "
-                "SweepConfig: SweepRunner(SweepConfig("
-                + ", ".join(f"{k}=..." for k in sorted(legacy))
-                + "))",
-                DeprecationWarning,
-                stacklevel=2,
+            unexpected["config"] = config
+        if unexpected:
+            raise TypeError(
+                f"SweepRunner got unexpected arguments {sorted(unexpected)}; "
+                "pass a SweepConfig: SweepRunner(SweepConfig(...))"
             )
-            # normalize the historical permissive spellings before the
-            # stricter SweepConfig validation sees them
-            if legacy.get("jobs") is not None:
-                legacy["jobs"] = max(1, int(legacy["jobs"]))
-            if "retries" in legacy:
-                legacy["retries"] = max(0, int(legacy["retries"]))
-            if "retry_backoff" in legacy:
-                legacy["retry_backoff"] = max(0.0, float(legacy["retry_backoff"]))
-            if "poison_threshold" in legacy:
-                legacy["poison_threshold"] = max(1, int(legacy["poison_threshold"]))
-            config = replace(config or SweepConfig(), **legacy)
         self.config = config or SweepConfig()
         self.jobs = self.config.resolved_jobs()
         self.use_cache = self.config.use_cache
@@ -936,7 +889,6 @@ class SweepRunner:
             jobs=self.jobs,
             timeout=self.timeout,
             lanes=self.config.resolved_lanes(),
-            batch_size=self.config.batch_size,
         )
         # align backend lifecycle timestamps with the sweep's span clock
         log = getattr(backend, "_log", None)

@@ -13,6 +13,12 @@ in one stage become visible the next cycle):
 
 All latencies are absolute cycle numbers computed at scheduling time, so
 there is no per-cycle polling of the memory system or the interconnect.
+
+The stage methods and :meth:`ClusteredProcessor.step` are the readable,
+staged statement of one cycle.  Production runs go through the fused
+transcription in :mod:`repro.pipeline.fused`, which :meth:`run` delegates
+to; ``step()`` stays as the reference the tests hold the fused loop to,
+and as the per-cycle co-stepping the multiprog scheduler needs.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clusters.cluster import Cluster
 from ..clusters.criticality import CriticalityPredictor
-from ..clusters.functional_units import EXEC_LATENCY
 from ..clusters.steering import ProducerSteering, SteeringHeuristic
 from ..config import ProcessorConfig
 from ..errors import SimulationError
@@ -32,19 +37,13 @@ from ..observability.tracer import NULL_TRACER, Tracer
 from ..resilience.manager import FaultManager
 from ..stats import SimStats
 from ..workloads.instruction import Instr, OpClass, Trace
+from .fused import _EXEC_LAT, _NEVER, FusedCore
 from .invariants import InvariantChecker, invariants_enabled
 from .rob import InFlight, ReorderBuffer
 
 #: safety multiplier: a run may not take more than this many cycles per
 #: instruction before we declare the pipeline wedged
 _MAX_CPI = 400
-
-#: execution latency indexed by OpClass value (avoids dict+enum hashing in
-#: the issue loop)
-_EXEC_LAT = tuple(EXEC_LATENCY[op] for op in OpClass)
-
-#: cluster wake sentinel: far beyond any reachable cycle
-_NEVER = 1 << 60
 
 
 class ClusteredProcessor:
@@ -93,7 +92,10 @@ class ClusteredProcessor:
 
         #: issue-stage implementation: the event/wakeup-driven select is the
         #: default; the naive every-cluster-every-cycle scan is retained as
-        #: an equivalence reference (see tests/pipeline/test_issue_equivalence)
+        #: an equivalence reference (see
+        #: tests/pipeline/test_event_issue_equivalence.py).  A naive
+        #: processor runs through step(), never the fused loop.
+        self.naive_issue = naive_issue
         self._issue = self._issue_naive if naive_issue else self._issue_event
 
         #: passive observer (see :mod:`repro.observability`): emission sites
@@ -614,17 +616,23 @@ class ClusteredProcessor:
         most ``commit_width - 1``.  Stopping mid-cycle would record a
         machine state no real cycle ever produced, so the overshoot is the
         contract (see ``tests/test_api.py``).
+
+        The cycles run through :class:`~repro.pipeline.fused.FusedCore`;
+        a ``naive_issue`` processor steps the staged loop instead.
         """
         limit = max_instructions if max_instructions is not None else len(self.trace)
         limit = min(limit, len(self.trace))
         max_cycles = max(10_000, limit * _MAX_CPI)
-        while not self.finished and self.stats.committed < limit:
-            self.step()
-            if self.cycle > max_cycles:
-                raise SimulationError(
-                    f"pipeline wedged: {self.stats.committed} committed in "
-                    f"{self.cycle} cycles"
-                )
+        if not self.naive_issue:
+            FusedCore(self).advance(limit, max_cycles)
+        else:
+            while not self.finished and self.stats.committed < limit:
+                self.step()
+                if self.cycle > max_cycles:
+                    raise SimulationError(
+                        f"pipeline wedged: {self.stats.committed} committed in "
+                        f"{self.cycle} cycles"
+                    )
         if self._fault_manager is not None:
             self._fault_manager.finalize(self.cycle)
         if self.invariants is not None:

@@ -1,12 +1,14 @@
 """Backend conformance suite.
 
-One spec matrix, four execution backends, bit-identical records — the
-contract that makes the backend a pure mechanism choice.  Plus the
+One spec matrix, three execution backends, bit-identical records — the
+contract that makes the backend a pure mechanism choice — and every one
+of them running the fused cycle loop.  Plus the
 distributed-specific machinery: lane parsing, the wire protocol, worker
 death (retry and quarantine), and journal resume across backends.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -17,12 +19,13 @@ import pytest
 
 from repro import faults
 from repro.config import default_config
-from repro.errors import BackendError
+from repro.errors import BackendError, SimulationError
 from repro.experiments.backends import (
     BACKEND_KINDS,
     create_backend,
     parse_lanes,
 )
+from repro.experiments.backends.worker import serve_connection
 from repro.experiments.backends.wire import (
     MAGIC,
     MAX_FRAME,
@@ -37,6 +40,7 @@ from repro.experiments.sweep import (
     SweepConfig,
     SweepRunner,
 )
+from repro.pipeline.fused import FusedCore
 
 LEN = 2_000
 
@@ -97,8 +101,6 @@ def config_for(kind, **kw):
         kw.setdefault("lanes", "local,2")
     elif kind == "process-pool":
         kw.setdefault("jobs", 2)
-    elif kind == "batch":
-        kw.setdefault("batch_size", 4)
     return SweepConfig(backend=kind, use_cache=kw.pop("use_cache", False), **kw)
 
 
@@ -110,7 +112,7 @@ class TestConformance:
         """The serial oracle over the full 20-spec matrix."""
         return SweepRunner(config_for("serial")).run(matrix_specs())
 
-    @pytest.mark.parametrize("kind", ["process-pool", "distributed", "batch"])
+    @pytest.mark.parametrize("kind", ["process-pool", "distributed"])
     def test_matrix_bit_identical_to_serial(self, kind, reference):
         records = SweepRunner(config_for(kind)).run(matrix_specs())
         assert [r.status for r in records] == ["ok"] * len(records)
@@ -118,16 +120,6 @@ class TestConformance:
         assert [r.spec.label for r in records] == [
             r.spec.label for r in reference
         ]
-        assert [r.events for r in records] == [r.events for r in reference]
-
-    def test_pool_of_batches_bit_identical_to_serial(self, reference):
-        """--batch-size composed with --jobs: every worker process runs a
-        full lockstep batch; the bits still match the serial oracle."""
-        records = SweepRunner(
-            config_for("batch", jobs=2, batch_size=3)
-        ).run(matrix_specs())
-        assert [r.status for r in records] == ["ok"] * len(records)
-        assert snapshot(records) == snapshot(reference)
         assert [r.events for r in records] == [r.events for r in reference]
 
     @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -177,17 +169,12 @@ class TestBackendSelection:
         assert config.resolved_backend() == "distributed"
         assert config.resolved_lanes() == "local,3"
 
-    def test_batch_size_implies_batch_backend(self):
-        assert SweepConfig(batch_size=4).resolved_backend() == "batch"
-        # explicit lanes still win: distributed workers each run serially
-        assert (
-            SweepConfig(batch_size=4, lanes="local,2").resolved_backend()
-            == "distributed"
-        )
-
-    def test_batch_size_validated(self):
-        with pytest.raises(Exception):
-            SweepConfig(batch_size=0)
+    def test_batch_backend_retired(self):
+        assert BACKEND_KINDS == ("serial", "process-pool", "distributed")
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            create_backend("batch")
+        with pytest.raises(TypeError):
+            SweepConfig(batch_size=4)
 
     def test_backend_instance_escape_hatch(self):
         backend = create_backend("serial")
@@ -195,6 +182,53 @@ class TestBackendSelection:
             SweepConfig(backend=backend, use_cache=False)
         ).run([spec_for("gzip")])
         assert records[0].ok
+
+
+class TestEveryBackendRunsFusedLoop:
+    """Spec execution on every backend goes through ``FusedCore``: with
+    the fused loop made to fail, each backend reports that failure."""
+
+    @pytest.fixture(autouse=True)
+    def broken_core(self, monkeypatch):
+        def refuse(self, target_committed, max_cycles=None):
+            raise SimulationError("fused loop entered")
+
+        monkeypatch.setattr(FusedCore, "advance", refuse)
+
+    @staticmethod
+    def _assert_fused(config):
+        [record] = SweepRunner(config).run([spec_for("gzip")])
+        assert record.status == "failed"
+        assert "fused loop entered" in record.error
+
+    def test_serial(self):
+        self._assert_fused(config_for("serial", retries=0))
+
+    def test_process_pool(self):
+        if multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("pool workers inherit the patched loop only when forked")
+        self._assert_fused(config_for("process-pool", retries=0))
+
+    def test_distributed(self):
+        """A ``host:port`` lane dialing a worker agent served from this
+        process, so the agent sees the patched loop."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def agent():
+            conn, _ = listener.accept()
+            with conn:
+                serve_connection(conn, "in-process")
+
+        thread = threading.Thread(target=agent, daemon=True)
+        thread.start()
+        try:
+            self._assert_fused(
+                config_for("distributed", lanes=f"127.0.0.1:{port},1", retries=0)
+            )
+        finally:
+            thread.join(timeout=30)
+            listener.close()
 
 
 class TestParseLanes:

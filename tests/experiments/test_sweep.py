@@ -366,21 +366,16 @@ class TestDefaultJobs:
 
 
 class TestSweepConfig:
-    def test_legacy_kwargs_warn_and_match(self):
-        """The kwarg-pile spelling still works for one release behind a
-        DeprecationWarning and produces the same records as SweepConfig."""
-        with pytest.warns(DeprecationWarning, match="SweepConfig"):
-            legacy = SweepRunner(jobs=1, use_cache=False)
-        modern = SweepRunner(SweepConfig(jobs=1, use_cache=False))
-        specs = [spec_for("gzip")]
-        [a] = legacy.run(specs)
-        [b] = modern.run(specs)
-        assert a.result.stats.snapshot() == b.result.stats.snapshot()
-
-    def test_legacy_positional_jobs(self):
-        with pytest.warns(DeprecationWarning, match="SweepConfig"):
-            runner = SweepRunner(2)
-        assert runner.config.jobs == 2
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {"jobs": 1, "use_cache": False}), ((2,), {}), ((), {"timeout": 5.0})],
+        ids=["kwarg-pile", "positional-jobs", "timeout-kwarg"],
+    )
+    def test_retired_spellings_raise(self, args, kwargs):
+        """The pre-SweepConfig kwarg pile and positional ``jobs`` are gone:
+        both fail loudly and point at SweepConfig."""
+        with pytest.raises(TypeError, match="SweepConfig"):
+            SweepRunner(*args, **kwargs)
 
     def test_unknown_legacy_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected arguments"):

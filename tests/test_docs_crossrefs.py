@@ -1,11 +1,9 @@
 """Docs lint: retired spellings and stale cross-references.
 
 The executable-docs test proves ```python blocks still *run*; this file
-covers what execution cannot: deprecated-but-still-working spellings
-(the one-release shims keep them alive precisely so old user code warns
-instead of breaking — the docs must never teach them), retired call
-shapes inside non-executed fences, and `docs/*.md` cross-references to
-files that no longer (or don't yet) exist.
+covers what execution cannot: retired spellings and call shapes inside
+non-executed fences (the docs must never teach them), and `docs/*.md`
+cross-references to files that no longer (or don't yet) exist.
 """
 
 import pathlib
@@ -17,9 +15,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DOC_FILES = sorted([REPO / "README.md", *(REPO / "docs").glob("*.md")])
 EXAMPLE_FILES = sorted((REPO / "examples").glob("*.py"))
 
-#: retired spellings: (name, regex, what replaced it).  These live behind
-#: DeprecationWarning shims or were removed outright (L202); docs and
-#: examples must use only the current vocabulary.
+#: retired spellings: (name, regex, what replaced it).  All were removed
+#: outright (some guarded by L202); docs and examples must use only the
+#: current vocabulary.
 RETIRED = [
     (
         "SweepRunner legacy kwargs",
@@ -44,6 +42,21 @@ RETIRED = [
         # four or more positional args: warmup and later are keyword-only
         re.compile(r"\brun_trace\((?:\s*[\w.()\"']+\s*,){3}\s*[\w.()\"']+"),
         "run_trace(trace, config, controller, warmup=...)",
+    ),
+    (
+        "--batch-size flag",
+        re.compile(r"--batch-size\b"),
+        "--jobs N (every backend runs the fused loop)",
+    ),
+    (
+        "batch_size= keyword",
+        re.compile(r"\bbatch_size\s*="),
+        "jobs= (every backend runs the fused loop)",
+    ),
+    (
+        "repro.batch package",
+        re.compile(r"\brepro\.batch\b"),
+        "repro.pipeline.fused.FusedCore",
     ),
 ]
 
@@ -129,6 +142,9 @@ def test_lint_catches_retired_spellings():
         "positional run_trace controller-plus-warmup": (
             "run_trace(trace, config, controller, 4000)"
         ),
+        "--batch-size flag": "python -m repro figure5 --batch-size 4",
+        "batch_size= keyword": "sweep(specs, batch_size=4)",
+        "repro.batch package": "from repro.batch import BatchEngine",
     }
     for name, pattern, _ in RETIRED:
         assert pattern.search(bad[name]), f"{name} no longer matches"

@@ -27,6 +27,8 @@ from repro import generate_trace, get_profile, simulate
 from repro.observability import MemoryTracer
 from repro.resilience import FaultEvent, FaultSchedule
 
+from .staged import staged_loop
+
 TOPOLOGIES = ("ring", "grid", "decentralized", "torus", "ring-of-rings")
 POLICIES = ("none", "static-4", "explore", "no-explore", "finegrain")
 
@@ -120,16 +122,14 @@ def test_faulted_run_is_bit_identical(topology, scenario):
     )
 
 
-def test_batched_runs_match_every_golden():
-    """All 55 fingerprint cases replayed through one lockstep
-    :class:`~repro.batch.BatchEngine` must reproduce the committed
-    digests bit-for-bit — the batch engine is a mechanism, never a
-    timing model."""
+def test_staged_runs_match_every_golden():
+    """All 55 fingerprint cases replayed through the staged ``step()``
+    loop must reproduce the committed digests bit-for-bit.  The tests
+    above pin the fused loop every production run takes; this replay
+    pins the staged reference to the same goldens, so neither loop can
+    drift alone."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        pytest.skip("goldens are being regenerated from the serial paths")
-    from repro.api import SimSpec
-    from repro.batch import BatchEngine, BatchJob
-
+        pytest.skip("goldens are being regenerated from the fused path")
     cases = {}
     for topology in TOPOLOGIES:
         for policy in POLICIES:
@@ -138,28 +138,19 @@ def test_batched_runs_match_every_golden():
             cases[f"{topology}/{policy}+{scenario}"] = (
                 topology, policy, schedule,
             )
-    engine = BatchEngine(batch_size=7)
-    for key, (topology, policy, schedule) in cases.items():
-        spec = SimSpec(
-            workload=_TRACE, topology=topology, reconfig_policy=policy,
-            warmup=500, faults=schedule,
-        )
-        engine.submit(key, BatchJob(
-            trace=_TRACE,
-            config=spec.processor_config(),
-            controller=spec.controller_spec().build(),
-            warmup=500,
-            fault_schedule=schedule,
-        ))
     expected = json.loads(GOLDEN.read_text())
-    seen = set()
-    for outcome in engine.run():
-        assert outcome.ok, (outcome.key, outcome.error)
-        assert fingerprint(outcome.result.stats) == expected[outcome.key], (
-            f"batched fingerprint diverged from golden for {outcome.key}"
-        )
-        seen.add(outcome.key)
-    assert seen == set(cases)
+    assert set(cases) == set(expected)
+    with staged_loop() as core:
+        for key, (topology, policy, schedule) in cases.items():
+            steps = core.steps
+            result = simulate(
+                _TRACE, topology=topology, reconfig_policy=policy,
+                warmup=500, faults=schedule,
+            )
+            assert core.steps - steps == result.stats.cycles, key
+            assert fingerprint(result.stats) == expected[key], (
+                f"staged fingerprint diverged from golden for {key}"
+            )
 
 
 def _check_golden(key, digest):
