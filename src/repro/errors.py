@@ -67,3 +67,7 @@ class UnreachableCluster(SimulationError):
 
 class FaultInjected(ReproError):
     """An artificial failure raised by the fault-injection harness."""
+
+
+class RunTimeout(ReproError):
+    """A run passed its cooperative deadline (see :mod:`repro.deadline`)."""

@@ -38,7 +38,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ...config import spawn_env
 from ...errors import BackendError
@@ -48,7 +48,8 @@ from . import wire
 #: default seconds to wait for the first worker hello before giving up
 STARTUP_TIMEOUT = 30.0
 #: extra seconds past the per-spec timeout before a silent worker is
-#: declared dead (the in-worker alarm should have answered long before)
+#: declared dead (the in-worker deadline poll should have answered long
+#: before; this catches a worker wedged outside Python)
 TIMEOUT_GRACE = 30.0
 #: local-lane respawn budget multiplier (per slot)
 RESPAWNS_PER_SLOT = 8
@@ -461,7 +462,7 @@ class DistributedBackend(ExecutionBackend):
                 wire.read_frame(reader), self.timeout + TIMEOUT_GRACE
             )
         except asyncio.TimeoutError:
-            # in-worker alarm failed (wedged in a syscall?); give up on it
+            # no deadline poll answered (wedged in a syscall?); give up on it
             self._log.emit("worker_wedged", time.perf_counter(), worker=worker)
             return None
 

@@ -1,8 +1,9 @@
 """In-process serial backend — the determinism oracle.
 
 Runs one spec per :meth:`drain` call, inline, on the calling thread: no
-pool, no pickling, real ``SIGALRM`` timeouts.  Every other backend must
-be bit-identical to this one (the conformance suite enforces it).
+pool, no pickling, the same deadline-polled timeouts as every worker.
+Every other backend must be bit-identical to this one (the conformance
+suite enforces it).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ Two modes:
   these per remote machine, then point a lane at it
   (``repro.sweep(..., backend="distributed", lanes="host:port,N")``).
 
-Jobs run on the process's main thread so the per-spec ``SIGALRM``
-timeout inside :func:`repro.experiments.sweep.execute_spec` is real.
+Jobs run through :func:`repro.experiments.sweep.execute_spec`, whose
+per-spec timeout is the cooperative deadline the cycle loops poll.
 Each job yields exactly one ``result`` frame; the worker never raises
 into the socket — failures come back as structured ``RunRecord``s, and
 a hard death (crash fault, SIGKILL, OOM) is visible to the coordinator

@@ -63,12 +63,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import faults
+from .. import deadline, faults
 from .._version import __version__
 from ..config import ProcessorConfig, env_int, env_text
 from ..errors import (
     BackendError,
     ConfigError,
+    RunTimeout,
     SimulationError,
     SweepError,
     SweepInterrupted,
@@ -360,14 +361,6 @@ def _trace_for(profile: str, length: int, seed: int):
     return trace
 
 
-class _RunTimeout(Exception):
-    pass
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - fires asynchronously
-    raise _RunTimeout()
-
-
 def multiprog_run_spec(spec: MultiProgSpec) -> RunSpec:
     """Wrap a :class:`MultiProgSpec` as a sweep-engine :class:`RunSpec`.
 
@@ -421,6 +414,7 @@ def _run_spec(spec: RunSpec) -> RunRecord:
         return _run_multiprog_spec(spec)
     start = time.perf_counter()
     trace = _trace_for(spec.profile, spec.trace_length, spec.seed)
+    deadline.poll()
 
     if spec.record_granularity is not None:
         from ..core.instability import record_intervals
@@ -484,33 +478,20 @@ def _validate_record(record: RunRecord) -> None:
 def execute_spec(spec: RunSpec, timeout: Optional[float] = None) -> RunRecord:
     """Run one spec, converting any failure into a structured record.
 
-    The per-run timeout is enforced with ``SIGALRM`` inside the worker (so
-    a runaway simulation is actually interrupted, not merely abandoned);
-    when the signal is unavailable — non-main thread, non-Unix — the run
-    proceeds unbounded rather than crashing.
+    The per-run ``timeout`` is a cooperative deadline
+    (:mod:`repro.deadline`) that the cycle loops poll, so a runaway
+    simulation is actually interrupted, not merely abandoned, on any
+    thread of any backend.
     """
     start = time.perf_counter()
-    use_alarm = (
-        timeout is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    previous = None
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        # repeating interval: a raise that lands while a C-invoked frame
-        # (e.g. a gc callback) is on the stack is swallowed as
-        # "unraisable"; the next tick retries it
-        signal.setitimer(signal.ITIMER_REAL, timeout, min(timeout, 0.05))
     try:
-        faults.on_execute(spec)
-        record = _run_spec(spec)
+        with deadline.scope(timeout):
+            faults.on_execute(spec)
+            record = _run_spec(spec)
         faults.poison_record(record)
         _validate_record(record)
         return record
-    except _RunTimeout:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
+    except RunTimeout:
         return RunRecord(
             spec=spec,
             status="timeout",
@@ -524,10 +505,6 @@ def execute_spec(spec: RunSpec, timeout: Optional[float] = None) -> RunRecord:
             error=f"{type(exc).__name__}: {exc}",
             duration=time.perf_counter() - start,
         )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------

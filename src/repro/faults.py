@@ -13,8 +13,8 @@ A :class:`FaultPlan` describes artificial failures to inject into
   path is exercised.
 * ``fail_profiles`` — raise :class:`~repro.errors.FaultInjected` inside the
   run (an ordinary in-worker exception → structured ``"failed"`` record).
-* ``hang_profiles`` — sleep for ``hang_seconds`` (forces the per-run
-  timeout path).
+* ``hang_profiles`` — sleep for ``hang_seconds`` in short slices that
+  poll the run's deadline (forces the per-run timeout path).
 * ``nan_profiles`` — poison the finished ``RunResult`` with NaN IPC, which
   the sweep-level sanity validation must catch.
 * ``corrupt_cache_writes`` — truncate and scramble every cache payload as
@@ -49,6 +49,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
+from . import deadline
 from .errors import FaultInjected
 from .resilience import FaultEvent, FaultSchedule
 
@@ -211,7 +212,18 @@ def on_execute(spec) -> None:
     if profile in plan.fail_profiles:
         raise FaultInjected(f"injected failure for profile {profile!r}")
     if profile in plan.hang_profiles:
-        time.sleep(plan.hang_seconds)
+        _hang(plan.hang_seconds)
+
+
+def _hang(seconds: float) -> None:
+    """Sleep ``seconds`` in short slices, polling the run's deadline."""
+    end = time.monotonic() + seconds
+    while True:
+        deadline.poll()
+        left = end - time.monotonic()
+        if left <= 0:
+            return
+        time.sleep(min(left, 0.01))
 
 
 def poison_record(record) -> None:

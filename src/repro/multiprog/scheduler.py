@@ -43,6 +43,7 @@ from ..config import (
     ring_of_rings_config,
     torus_config,
 )
+from ..deadline import POLL_PERIOD, poll
 from ..errors import SimulationError
 from ..interconnect.network import build_topology
 from ..observability.tracer import NULL_TRACER, Tracer
@@ -363,6 +364,8 @@ def run_multiprog(
                 thread.steering.owned
             )
         cycle += 1
+        if not cycle % POLL_PERIOD:
+            poll()
         still_running: List[_Thread] = []
         for thread in running:
             if thread.processor.finished:

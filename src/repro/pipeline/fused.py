@@ -76,6 +76,11 @@ on skipping:
   the decentralized release heap's head is added as a probe event
   whenever its occupancy gate is what blocks dispatch.
 
+The run's cooperative deadline (:mod:`repro.deadline`) is polled every
+``POLL_PERIOD`` *executed* loop iterations, beside the wedge guard.  It
+is never a skip stop and never touches simulator state, so a run that
+finishes inside its deadline is bit-identical with or without one.
+
 Bit-identity with the staged loop is enforced three ways: the
 fused-vs-staged hypothesis property in
 ``tests/pipeline/test_fused_equivalence.py``, the event-vs-naive property
@@ -92,6 +97,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from ..clusters.cluster import _IS_FP
 from ..clusters.functional_units import EXEC_LATENCY
 from ..clusters.steering import ProducerSteering
+from ..deadline import POLL_PERIOD, poll
 from ..errors import SimulationError
 from ..memory.hierarchy import CentralizedMemory, DecentralizedMemory
 from ..workloads.instruction import OpClass
@@ -242,6 +248,7 @@ class FusedCore:
         lsq = getattr(mem, "lsq", None)
         releases = getattr(lsq, "_releases", None)
         lsq_tick = mem.tick
+        polls_left = POLL_PERIOD
 
         cycle = p.cycle
         committed_total = stats.committed
@@ -774,6 +781,10 @@ class FusedCore:
                     f"pipeline wedged: {stats.committed} committed in "
                     f"{cycle} cycles"
                 )
+            polls_left -= 1
+            if not polls_left:
+                polls_left = POLL_PERIOD
+                poll()
             if active or mem._completions:
                 continue
 

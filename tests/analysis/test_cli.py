@@ -75,7 +75,7 @@ class TestExitCodesAndFormats:
         code, out = run_cli(capsys, "--list-rules")
         assert code == 0
         for rule_id in ("D101", "D102", "D103", "D104", "D105",
-                        "L201", "L202", "S301", "S302", "S303", "S304"):
+                        "L201", "S301", "S302", "S303", "S304"):
             assert rule_id in out
 
 

@@ -3,7 +3,8 @@
 Every scenario here must end in a *structured* record (or a resumable
 journal) — an unhandled exception out of ``SweepRunner.run`` is a test
 failure by construction.  Faults come from :mod:`repro.faults`; the kill
-test uses a real ``SIGKILL``-ed child process.
+test uses a real ``SIGKILL``-ed child process, and the deadline tests
+fire the per-run timeout in every place it is polled, on every backend.
 """
 
 import os
@@ -16,20 +17,30 @@ import textwrap
 import pytest
 
 import repro
-from repro import faults
-from repro.config import default_config
-from repro.errors import SweepInterrupted
-from repro.experiments.sweep import ControllerSpec, RunSpec, SweepConfig, SweepRunner
+from repro import deadline, faults
+from repro.config import decentralized_config, default_config
+from repro.errors import RunTimeout, SweepInterrupted
+from repro.experiments.backends import BACKEND_KINDS
+from repro.experiments.journal import SweepJournal
+from repro.experiments.runner import run_trace
+from repro.experiments.sweep import (
+    ControllerSpec,
+    RunSpec,
+    SweepConfig,
+    SweepRunner,
+    multiprog_run_spec,
+)
+from repro.multiprog import MultiProgSpec, run_multiprog
 
 LEN = 3_000
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def spec_for(profile, clusters=4, **kw):
+    kw.setdefault("trace_length", LEN)
+    kw.setdefault("config", default_config(16))
     return RunSpec(
         profile=profile,
-        trace_length=LEN,
-        config=default_config(16),
         controller=ControllerSpec.static(clusters),
         label="chaos",
         **kw,
@@ -259,6 +270,142 @@ class TestHang:
         runner = SweepRunner(SweepConfig(jobs=1, use_cache=False, retries=0, timeout=0.2))
         [record] = runner.run([spec_for("gzip")])
         assert record.status == "timeout"
+
+
+#: per-run timeout of the deadline scenarios: past trace synthesis (0.2-0.3 s
+#: for the longest traces below on a 2-core x86_64 VM) and well short of
+#: the runs (2.2-2.4 s each there)
+DEADLINE = 0.5
+
+#: how far past its timeout a timed-out record's ``duration`` may run.
+#: Measured worst cases on a 2-core x86_64 VM with invariant checks on,
+#: over the serial, pool and distributed backends: ~80 ms mid-warmup or
+#: mid-measure (1024 fused-loop iterations), ~160 ms mid multiprog
+#: co-stepping (1024 global cycles of two threads), ~10 ms in the hang
+#: fault.  The rest is headroom for a loaded host.
+OVERSHOOT = 0.5
+
+SCENARIO_LEN = 60_000
+
+
+def deadline_scenarios():
+    """One spec per place the deadline fires, after one that finishes:
+    mid-warmup, mid-measure, mid multiprog co-stepping, and inside the
+    ``hang_profiles`` fault (armed for ``vpr`` by the caller).  The
+    decentralized 16-cluster runs simulate slowly relative to their trace
+    synthesis, which keeps the deadline inside the run on faster hosts."""
+    slow = decentralized_config(16)
+    return [
+        spec_for("crafty"),
+        spec_for("gzip", 16, config=slow, trace_length=SCENARIO_LEN,
+                 warmup=SCENARIO_LEN),
+        spec_for("swim", 16, config=slow, trace_length=SCENARIO_LEN, warmup=0),
+        multiprog_run_spec(
+            MultiProgSpec(("gzip", "swim"), trace_length=SCENARIO_LEN // 2)
+        ),
+        spec_for("vpr"),
+    ]
+
+
+def _repro_frames(excinfo):
+    """Names of the ``repro`` functions on the traceback, outermost first."""
+    return [
+        entry.name
+        for entry in excinfo.traceback
+        if entry.frame.f_globals.get("__name__", "").startswith("repro.")
+    ]
+
+
+class TestDeadlinePlaces:
+    """Where the deadline is polled.  A deadline that has already passed
+    fires at the first poll, so each place is pinned deterministically."""
+
+    @pytest.fixture
+    def trace(self):
+        from repro.workloads import generate_trace, get_profile
+
+        return generate_trace(get_profile("gzip"), 6_000, seed=7)
+
+    def test_fires_mid_warmup(self, trace):
+        with pytest.raises(RunTimeout) as excinfo, deadline.scope(0.0):
+            run_trace(trace, default_config(16), warmup=5_000)
+        frames = _repro_frames(excinfo)
+        assert frames[0] == "run_trace" and frames[-2:] == ["advance", "poll"]
+        assert "run" not in frames  # still in the guardless warmup leg
+
+    def test_fires_mid_measure(self, trace):
+        with pytest.raises(RunTimeout) as excinfo, deadline.scope(0.0):
+            run_trace(trace, default_config(16), warmup=0)
+        assert _repro_frames(excinfo) == ["run_trace", "run", "advance", "poll"]
+
+    def test_fires_mid_multiprog_co_stepping(self):
+        spec = MultiProgSpec(("gzip", "swim"), trace_length=3_000)
+        with pytest.raises(RunTimeout) as excinfo, deadline.scope(0.0):
+            run_multiprog(spec)
+        assert _repro_frames(excinfo) == ["run_multiprog", "poll"]
+
+    def test_fires_in_hang_fault(self):
+        faults.set_fault_plan(
+            faults.FaultPlan(hang_profiles=("gzip",), hang_seconds=60.0)
+        )
+        with pytest.raises(RunTimeout) as excinfo, deadline.scope(0.0):
+            faults.on_execute(spec_for("gzip"))
+        assert _repro_frames(excinfo) == ["on_execute", "_hang", "poll"]
+
+    def test_fires_after_trace_synthesis(self):
+        from repro.experiments.sweep import _run_spec
+
+        with pytest.raises(RunTimeout) as excinfo, deadline.scope(0.0):
+            _run_spec(spec_for("gzip"))
+        assert _repro_frames(excinfo) == ["_run_spec", "poll"]
+
+
+class TestDeadlineEveryBackend:
+    """The deadline, fired in each of its places, under every backend:
+    each run ends in a ``"timeout"`` record that is counted, retried,
+    journaled and re-attempted on resume, within the overshoot bound."""
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_timeouts_are_records_everywhere(self, kind, tmp_path):
+        faults.set_fault_plan(
+            faults.FaultPlan(hang_profiles=("vpr",), hang_seconds=60.0)
+        )
+        specs = deadline_scenarios()
+        journal_path = tmp_path / "sweep.jsonl"
+
+        def config(**kw):
+            return SweepConfig(
+                backend=kind,
+                jobs=2,
+                lanes="local,2" if kind == "distributed" else None,
+                use_cache=False,
+                timeout=DEADLINE,
+                journal=journal_path,
+                **kw,
+            )
+
+        runner = SweepRunner(config(retries=1))
+        records = runner.run(specs)
+        assert records[0].ok
+        for record in records[1:]:
+            assert record.status == "timeout", record.error
+            assert f"{DEADLINE:g}s timeout" in record.error
+            assert record.attempts == 2
+            assert record.duration <= DEADLINE + OVERSHOOT
+        assert runner.metrics.timeouts == 4
+        assert runner.metrics.retries == 4
+
+        journaled = SweepJournal(journal_path).load()
+        assert [journaled[s.cache_key()].status for s in specs] == (
+            ["ok"] + ["timeout"] * 4
+        )
+
+        resumed = SweepRunner(config(retries=0, resume=True))
+        again = resumed.run(specs)
+        assert resumed.metrics.journal_skips == 1
+        assert [r.from_journal for r in again] == [True] + [False] * 4
+        assert [r.status for r in again] == ["ok"] + ["timeout"] * 4
+        assert resumed.metrics.timeouts == 4
 
 
 class TestFaultPlanTransport:

@@ -8,13 +8,12 @@ simulation would have produced.
 
 import dataclasses
 import pickle
-import time
 
 import pytest
 
 from repro.config import decentralized_config, default_config
 from repro.core import ExploreConfig, NoExploreConfig, StaticController
-from repro.experiments.runner import TraceCache, run_trace
+from repro.experiments.runner import run_trace
 from repro.experiments.sweep import (
     ControllerSpec,
     ResultCache,
@@ -116,12 +115,11 @@ class TestSerialRunner:
 
     def test_matches_direct_run_trace(self):
         """SweepRunner(SweepConfig(jobs=1)) == the plain serial path, bit for bit."""
+        from repro.workloads.generator import generate_trace
         from repro.workloads.profiles import get_profile
 
-        cache = TraceCache(LEN, seed=7)
-
         direct = run_trace(
-            cache.get(get_profile("gzip")),
+            generate_trace(get_profile("gzip"), LEN, 7),
             default_config(16),
             StaticController(4),
             label="test",
@@ -193,25 +191,26 @@ class TestFailureHandling:
         assert isinstance(record, RunRecord) and record.status == "failed"
 
 
-class TestTimeoutWithoutSigalrm:
-    def test_non_main_thread_runs_unbounded_instead_of_crashing(self):
-        """SIGALRM cannot be armed outside the main thread (or off Unix);
-        execute_spec must fall back to an unbounded run, not crash —
-        documented platform caveat in docs/SWEEPS.md."""
+class TestTimeoutOnAnyThread:
+    def test_worker_thread_run_times_out(self):
+        """The per-run deadline is a context variable, not a signal, so a
+        run on a worker thread is bounded exactly like one on the main
+        thread."""
         import threading
 
         out = {}
 
         def worker():
-            out["record"] = execute_spec(spec_for(), timeout=0.0001)
+            out["record"] = execute_spec(spec_for(length=20_000), timeout=0.05)
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=120)
         assert not thread.is_alive()
-        # the timeout was far exceeded, but with no alarm available the
-        # run completes ok rather than raising or killing the thread
-        assert out["record"].ok
+        record = out["record"]
+        assert record.status == "timeout"
+        assert "0.05s timeout" in record.error
+        assert record.duration < 5.0
 
 
 class TestResultCache:

@@ -7,7 +7,11 @@ property holds the two together: for any topology, controller, wrong-path
 setting, fault schedule, tracer, steering override, warmup and commit
 bound, ``run()`` and ``run_trace`` must return the same statistics whether
 their cycles come from the fused loop or from ``step()`` (swapped in by
-:func:`tests.staged.staged_loop`).
+:func:`tests.staged.staged_loop`).  Two draws aim at what the fused loop
+adds: the fused run may sit under a far-future run deadline (the poll is
+passive), and a *skip-focused* case takes long unchecked traces on a
+starved decentralized machine, where dispatch blocks on steering and the
+idle skip leaps furthest.
 
 The 200-example sweep is ``slow`` (it runs in the CI slow job); a small
 smoke sample rides in the fast tier.  The remaining tests pin the edges
@@ -21,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import deadline
 from repro.api import simulate
 from repro.clusters.steering import ModNSteering
 from repro.config import (
@@ -88,14 +93,24 @@ def _trace(body, cross, frac_load, seed, length):
     )
 
 
-def _config(topology, wrong_path, checked=True):
+def _config(topology, wrong_path, checked=True, starved=False):
     """``checked=False`` turns the sampled invariant checks off for this
     run.  They are on suite-wide (``REPRO_CHECK_INVARIANTS``), and every
     check point is an event the idle skip stops at, so only unchecked
-    runs exercise the long skips production runs take."""
+    runs exercise the long skips production runs take.  ``starved``
+    shrinks each cluster's issue queue, register file and LSQ slice, so
+    steering saturates the active clusters and dispatch blocks often."""
     config = _CONFIGS[topology](16)
     if not checked:
         config = dataclasses.replace(config, check_invariants=False)
+    if starved:
+        config = dataclasses.replace(
+            config,
+            cluster=dataclasses.replace(
+                config.cluster, issue_queue_size=4, regfile_size=8
+            ),
+            memory=dataclasses.replace(config.memory, lsq_size_per_cluster=3),
+        )
     if wrong_path:
         config = dataclasses.replace(
             config,
@@ -108,16 +123,23 @@ def _mod_n(clusters):
     return ModNSteering(clusters, 3)
 
 
-def _both(run):
-    """``run()`` once on the fused loop and once on the staged loop."""
-    fused = run()
+#: a run deadline no test run reaches
+_FAR_FUTURE = 3_600.0
+
+
+def _both(run, deadlined=False):
+    """``run()`` once on the fused loop and once on the staged loop; the
+    fused run sits under a far-future deadline when ``deadlined``."""
+    with deadline.scope(_FAR_FUTURE if deadlined else None):
+        fused = run()
     with staged_loop() as core:
         staged = run()
         assert core.steps > 0  # the staged loop really ran
     return fused, staged
 
 
-def _check_run_trace(trace, config, controller, fault, traced, mod_n, warmup, limit):
+def _check_run_trace(trace, config, controller, fault, traced, mod_n, warmup,
+                     limit, deadlined=False):
     tracers = []
 
     def run():
@@ -134,7 +156,7 @@ def _check_run_trace(trace, config, controller, fault, traced, mod_n, warmup, li
             fault_schedule=_FAULTS[fault],
         )
 
-    fused, staged = _both(run)
+    fused, staged = _both(run, deadlined)
     assert dataclasses.asdict(fused) == dataclasses.asdict(staged)
     if traced:
         assert tracers[0].events == tracers[1].events
@@ -143,7 +165,7 @@ def _check_run_trace(trace, config, controller, fault, traced, mod_n, warmup, li
     assert bound <= fused.stats.committed < bound + commit_width
 
 
-def _check_run(trace, config, controller, fault, limit):
+def _check_run(trace, config, controller, fault, limit, deadlined=False):
     def run():
         return ClusteredProcessor(
             trace,
@@ -152,7 +174,7 @@ def _check_run(trace, config, controller, fault, limit):
             fault_schedule=_FAULTS[fault],
         ).run(limit)
 
-    fused, staged = _both(run)
+    fused, staged = _both(run, deadlined)
     assert fused == staged  # SimStats is a dataclass: field-wise equality
 
 
@@ -171,18 +193,28 @@ _cases = given(
     mod_n=st.booleans(),
     warmup=st.sampled_from([0, 300, 6_000]),
     limit=st.sampled_from([None, 555, 1_100, 5_000]),
+    skip_focused=st.booleans(),
+    deadlined=st.booleans(),
 )
 
 
 def _check(profile, body, cross, frac_load, seed, topology, controller,
-           wrong_path, checked, fault, traced, mod_n, warmup, limit):
+           wrong_path, checked, fault, traced, mod_n, warmup, limit,
+           skip_focused, deadlined):
+    scale = 1
+    if skip_focused:
+        # the idle skip's proof obligations one by one: long unchecked
+        # runs, decentralized memory, saturated steering
+        scale, topology, checked = 4, "decentralized", False
     if profile == "synthetic":
-        trace = _trace(body, cross, frac_load, seed, 1_500)
+        trace = _trace(body, cross, frac_load, seed, 1_500 * scale)
     else:
-        trace = generate_trace(get_profile(profile), 2_500, seed=seed)
-    config = _config(topology, wrong_path, checked)
-    _check_run_trace(trace, config, controller, fault, traced, mod_n, warmup, limit)
-    _check_run(trace, config, controller, fault, limit)
+        trace = generate_trace(get_profile(profile), 2_500 * scale, seed=seed)
+    config = _config(topology, wrong_path, checked, starved=skip_focused)
+    _check_run_trace(
+        trace, config, controller, fault, traced, mod_n, warmup, limit, deadlined
+    )
+    _check_run(trace, config, controller, fault, limit, deadlined)
 
 
 class TestFusedEqualsStaged:

@@ -82,8 +82,9 @@ class TestSweepFacade:
 
 class TestRetiredSpellings:
     """The three pre-facade positional spellings completed their
-    deprecation cycle and are gone: the signatures are keyword-only now
-    (analysis rule L202 keeps them that way)."""
+    deprecation cycle and are gone: the signatures are keyword-only now,
+    and these tests keep them that way (a reintroduced ``*args`` shim or
+    positional call fails here)."""
 
     def test_facade_positional_config_rejected(self, parallel_trace, config16):
         with pytest.raises(TypeError):

@@ -16,8 +16,7 @@ DOC_FILES = sorted([REPO / "README.md", *(REPO / "docs").glob("*.md")])
 EXAMPLE_FILES = sorted((REPO / "examples").glob("*.py"))
 
 #: retired spellings: (name, regex, what replaced it).  All were removed
-#: outright (some guarded by L202); docs and examples must use only the
-#: current vocabulary.
+#: outright; docs and examples must use only the current vocabulary.
 RETIRED = [
     (
         "SweepRunner legacy kwargs",
